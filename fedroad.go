@@ -165,9 +165,10 @@ type Config struct {
 	Bandwidth float64       // modeled bandwidth in bytes/s (default 1 GB/s)
 
 	// PreprocessPool, when positive, starts a background preprocessing pool
-	// holding up to this many comparisons' correlated randomness, generated
-	// ahead of demand so protocol-mode queries rarely pay the offline phase
-	// on the critical path. Call Close to release the pool's workers.
+	// holding up to this many comparisons' correlated randomness (rounded up
+	// to whole 64-comparison slabs), generated ahead of demand so
+	// protocol-mode queries rarely pay the offline phase on the critical
+	// path. Call Close to release the pool's workers.
 	PreprocessPool int
 	// PreprocessWorkers is the number of pool replenisher goroutines
 	// (default 1; only meaningful with PreprocessPool > 0).
@@ -425,13 +426,13 @@ func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federatio
 			return nil, err
 		}
 		pool := f.pool
-		reg.CounterFunc("fedroad_prepool_produced_total", "correlated-randomness tuple sets generated by the preprocessing pool", nil,
+		reg.CounterFunc("fedroad_prepool_produced_total", "comparisons' correlated randomness dealt by the preprocessing pool", nil,
 			func() float64 { return float64(pool.Stats().Produced) })
-		reg.CounterFunc("fedroad_prepool_hits_total", "comparisons served from the preprocessing pool", nil,
+		reg.CounterFunc("fedroad_prepool_hits_total", "comparisons' correlated randomness handed out by the preprocessing pool", nil,
 			func() float64 { return float64(pool.Stats().Hits) })
-		reg.CounterFunc("fedroad_prepool_misses_total", "comparisons that fell back to on-demand randomness generation", nil,
+		reg.CounterFunc("fedroad_prepool_misses_total", "comparisons' correlated randomness dealt on demand because the preprocessing pool was dry", nil,
 			func() float64 { return float64(pool.Stats().Misses) })
-		reg.GaugeFunc("fedroad_prepool_buffered", "tuple sets currently ready in the preprocessing pool", nil,
+		reg.GaugeFunc("fedroad_prepool_buffered", "comparisons' correlated randomness currently ready in the preprocessing pool", nil,
 			func() float64 { return float64(pool.Stats().Buffered) })
 	}
 	return f, nil

@@ -26,32 +26,21 @@ import (
 // frontier's μ-updates and the CH builder's witness searches, whose
 // level-wise comparisons are independent by construction (§VI).
 
-// RunCompareBatchParty executes one party's role for k comparisons at once
-// over an arbitrary transport, using the word-packed wire format. diffs[i]
-// is the party's private difference of instance i; tups[i] its dealer tuple
-// for instance i. Every party learns the k comparison bits.
-func RunCompareBatchParty(conn transport.Conn, diffs []int64, tups []CmpTuple) ([]bool, error) {
-	ud := make([]uint64, len(diffs))
-	for i, d := range diffs {
-		ud[i] = uint64(d)
-	}
-	return compareBatchPackedParty(conn, ud, tups)
-}
-
 // compareBatchPackedParty is the word-packed batched comparison protocol.
 // Its transcript carries, per round, one dense bit-vector per circuit gate
 // (lane i = instance i); its round count and comparison results are
-// identical to the unpacked path's.
-func compareBatchPackedParty(conn transport.Conn, diffs []uint64, tups []CmpTuple) ([]bool, error) {
+// identical to the unpacked path's. Instance i spends lane i%64 of
+// slabs[i/64], so the dealt word lanes feed the circuit as they are.
+func compareBatchPackedParty(conn transport.Conn, diffs []uint64, slabs []*Slab) ([]bool, error) {
 	me, n := conn.Party(), conn.N()
 	k := len(diffs)
-	if len(tups) != k {
-		return nil, fmt.Errorf("mpc: %d tuples for %d comparisons", len(tups), k)
+	W := wordsFor(k)
+	if len(slabs) != W {
+		return nil, fmt.Errorf("mpc: %d slabs for %d comparisons", len(slabs), k)
 	}
 	if k == 0 {
 		return nil, nil
 	}
-	W := wordsFor(k)
 	vb := packedVecBytes(k)
 
 	// Round 1 — fused masked openings C_i = D_i + R_i, all in one frame.
@@ -59,7 +48,7 @@ func compareBatchPackedParty(conn transport.Conn, diffs []uint64, tups []CmpTupl
 	// sharing of each D_i, so each party broadcasts d_p + r_p directly.
 	frame := getFrame(8 * k)
 	for i, d := range diffs {
-		putU64(frame[8*i:], d+tups[i].RShare)
+		putU64(frame[8*i:], d+slabs[i>>6].RShare[i&63])
 	}
 	opened, err := broadcast(conn, frame)
 	if err != nil {
@@ -74,11 +63,9 @@ func compareBatchPackedParty(conn transport.Conn, diffs []uint64, tups []CmpTupl
 	}
 	putFrame(frame)
 
-	// Transpose the correlated randomness and the public C bits into word
-	// lanes. rb[b*W+w] is this party's packed XOR share of bit b of R across
-	// instances 64w..64w+63; cb likewise holds the (public) bits of C.
-	rb := packRBitLanes(tups, W)
-	wt := packTripleLanes(tups, W)
+	// Transpose the public C bits into word lanes: cb[b*W+w] holds bit b of
+	// C across instances 64w..64w+63, matching slabs[w].RBits[b], this
+	// party's packed XOR share of bit b of R.
 	cb := getWords(K * W)
 	defer putWords(cb)
 	for i, c := range cs {
@@ -95,8 +82,9 @@ func compareBatchPackedParty(conn transport.Conn, diffs []uint64, tups []CmpTupl
 	//	g_b = ¬c_b ∧ r_b          (borrow generated at bit b)
 	//	p_b = ¬(c_b ⊕ r_b)        (borrow propagated through bit b)
 	//
-	// Constants fold into party 0's share. Lanes ≥ k hold garbage derived
-	// from public values only; serialization masks them to zero.
+	// Constants fold into party 0's share. Lanes ≥ k of the last word
+	// compute on the last slab's unspent lanes; serialization truncates
+	// every vector to k lanes, so they never reach the wire.
 	g := getWords(NumLeaves * W)
 	p := getWords(NumLeaves * W)
 	defer putWords(g)
@@ -104,7 +92,7 @@ func compareBatchPackedParty(conn transport.Conn, diffs []uint64, tups []CmpTupl
 	for b := 0; b < NumLeaves; b++ {
 		for w := 0; w < W; w++ {
 			cw := cb[b*W+w]
-			rw := rb[b*W+w]
+			rw := slabs[w].RBits[b]
 			g[b*W+w] = rw &^ cw
 			pv := rw
 			if me == 0 {
@@ -141,7 +129,7 @@ func compareBatchPackedParty(conn transport.Conn, diffs []uint64, tups []CmpTupl
 				}
 				off := (2*pr + sub) * 2 * vb
 				for w := 0; w < W; w++ {
-					tr := &wt[t*W+w]
+					tr := &slabs[w].Triples[t]
 					ew[w] = p[hi*W+w] ^ tr.A
 					fw[w] = y[lo*W+w] ^ tr.B
 				}
@@ -166,7 +154,7 @@ func compareBatchPackedParty(conn transport.Conn, diffs []uint64, tups []CmpTupl
 					xorWordVec(fw, opened[q][off+vb:off+2*vb], k)
 				}
 				for w := 0; w < W; w++ {
-					tr := &wt[t*W+w]
+					tr := &slabs[w].Triples[t]
 					z := tr.C ^ (fw[w] & tr.A) ^ (ew[w] & tr.B)
 					if me == 0 {
 						z ^= ew[w] & fw[w]
@@ -196,7 +184,7 @@ func compareBatchPackedParty(conn transport.Conn, diffs []uint64, tups []CmpTupl
 	res := getWords(W)
 	defer putWords(res)
 	for w := 0; w < W; w++ {
-		res[w] = rb[(K-1)*W+w] ^ g[w]
+		res[w] = slabs[w].RBits[K-1] ^ g[w]
 		if me == 0 {
 			res[w] ^= cb[(K-1)*W+w]
 		}
@@ -224,21 +212,24 @@ func compareBatchPackedParty(conn transport.Conn, diffs []uint64, tups []CmpTupl
 
 // compareBatchParty is the unpacked (byte-per-bit) batched comparison,
 // retained as the differential twin of the packed path: same rounds, same
-// triple consumption, same results, different frame layout.
-func compareBatchParty(conn transport.Conn, diffs []uint64, tups []CmpTuple) ([]bool, error) {
+// triple consumption, same results, different frame layout. It reads the
+// slabs one lane at a time.
+func compareBatchParty(conn transport.Conn, diffs []uint64, slabs []*Slab) ([]bool, error) {
 	me, n := conn.Party(), conn.N()
 	k := len(diffs)
-	if len(tups) != k {
-		return nil, fmt.Errorf("mpc: %d tuples for %d comparisons", len(tups), k)
+	if len(slabs) != wordsFor(k) {
+		return nil, fmt.Errorf("mpc: %d slabs for %d comparisons", len(slabs), k)
 	}
 	if k == 0 {
 		return nil, nil
 	}
+	lane := func(i int) (*Slab, int) { return slabs[i>>6], i & 63 }
 
 	// Round 1 — fused masked openings C_i = D_i + R_i, all in one frame.
 	frame := make([]byte, 8*k)
 	for i, d := range diffs {
-		putU64(frame[8*i:], d+tups[i].RShare)
+		sl, l := lane(i)
+		putU64(frame[8*i:], d+sl.RShare[l])
 	}
 	opened, err := broadcast(conn, frame)
 	if err != nil {
@@ -255,12 +246,15 @@ func compareBatchParty(conn transport.Conn, diffs []uint64, tups []CmpTuple) ([]
 	// AND gates of a level are opened in one frame across instances.
 	gs := make([][]Bit, k)
 	ps := make([][]Bit, k)
+	trips := make([]BitTriple, k*TriplesPerCompare) // instance i's at i*TriplesPerCompare
 	for i := 0; i < k; i++ {
+		sl, l := lane(i)
+		sl.laneTriples(l, trips[i*TriplesPerCompare:(i+1)*TriplesPerCompare])
 		g := make([]Bit, NumLeaves)
 		p := make([]Bit, NumLeaves)
 		for b := 0; b < NumLeaves; b++ {
 			cb := Bit(cs[i]>>uint(b)) & 1
-			rb := tups[i].RBits[b]
+			rb := Bit(sl.RBits[b]>>uint(l)) & 1
 			if cb == 0 {
 				g[b] = rb
 			}
@@ -282,7 +276,8 @@ func compareBatchParty(conn transport.Conn, diffs []uint64, tups []CmpTuple) ([]
 				xs = append(xs, ps[i][hi], ps[i][hi])
 				ys = append(ys, gs[i][lo], ps[i][lo])
 			}
-			trip = append(trip, tups[i].Triples[triplesUsed:triplesUsed+2*half]...)
+			from := i*TriplesPerCompare + triplesUsed
+			trip = append(trip, trips[from:from+2*half]...)
 		}
 		zs, err := andBatch(conn, me, xs, ys, trip)
 		if err != nil {
@@ -309,7 +304,8 @@ func compareBatchParty(conn transport.Conn, diffs []uint64, tups []CmpTuple) ([]
 	// Final round — open all k result bits in one packed frame.
 	resShares := make([]Bit, k)
 	for i := 0; i < k; i++ {
-		resShares[i] = tups[i].RBits[K-1] ^ gs[i][0]
+		sl, l := lane(i)
+		resShares[i] = Bit(sl.RBits[K-1]>>uint(l))&1 ^ gs[i][0]
 		if me == 0 {
 			resShares[i] ^= Bit(cs[i]>>(K-1)) & 1
 		}
@@ -441,16 +437,7 @@ func (e *Engine) runBatchProtocol(diffs [][]int64) ([]bool, error) {
 // goroutines, on the packed or unpacked path per the engine's config.
 func (e *Engine) runBatchProtocolOnce(diffs [][]int64) ([]bool, error) {
 	k := len(diffs)
-	tuples := make([][]CmpTuple, e.n) // [party][instance]
-	for p := 0; p < e.n; p++ {
-		tuples[p] = make([]CmpTuple, k)
-	}
-	for i := 0; i < k; i++ {
-		ts := e.tuplesForCompare()
-		for p := 0; p < e.n; p++ {
-			tuples[p][i] = ts[p]
-		}
-	}
+	slabs := e.batchSlabs(k) // [party][word]
 	party := compareBatchPackedParty
 	if e.noPack {
 		party = compareBatchParty
@@ -467,7 +454,7 @@ func (e *Engine) runBatchProtocolOnce(diffs [][]int64) ([]bool, error) {
 			for i := 0; i < k; i++ {
 				ud[i] = uint64(diffs[i][p])
 			}
-			results[p], errs[p] = party(e.conns[p], ud, tuples[p])
+			results[p], errs[p] = party(e.conns[p], ud, slabs[p])
 		}(p)
 	}
 	wg.Wait()

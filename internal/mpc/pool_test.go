@@ -4,70 +4,54 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/transport"
 )
 
-// waitForBuffer polls until the pool has buffered at least want tuple sets.
+// waitForBuffer polls until the pool has buffered randomness for at least
+// want comparisons.
 func waitForBuffer(t *testing.T, p *Pool, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for p.Stats().Buffered < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool never buffered %d tuple sets (stats %+v)", want, p.Stats())
+			t.Fatalf("pool never buffered %d comparisons (stats %+v)", want, p.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestPoolReplenishes(t *testing.T) {
-	p := NewPool(3, 16, 2, 11)
+	// Capacity counts comparisons and rounds up to whole slab sets: 65
+	// comparisons need two sets.
+	const want = 2 * SlabLanes
+	p := NewPool(3, SlabLanes+1, 2, 11)
 	defer p.Close()
-	waitForBuffer(t, p, 16)
+	waitForBuffer(t, p, want)
 	st := p.Stats()
-	if st.Produced < 16 {
-		t.Fatalf("produced %d, want >= 16", st.Produced)
+	if st.Produced < want {
+		t.Fatalf("produced %d, want >= %d", st.Produced, want)
 	}
-	if st.Buffered != 16 {
-		t.Fatalf("buffered %d, want 16 (channel full)", st.Buffered)
+	if st.Buffered != want {
+		t.Fatalf("buffered %d, want %d (channel full)", st.Buffered, want)
 	}
 }
 
 func TestPoolTupleConsistency(t *testing.T) {
-	// Pool-dealt tuples must satisfy the same dealer invariants as on-demand
-	// ones: r reconstructs from the bit shares, and the Beaver triples hold.
+	// Pool-dealt slabs must satisfy the same dealer invariants as on-demand
+	// ones in every lane: R reconstructs from the bit shares, and the Beaver
+	// triples hold.
 	p := NewPool(3, 4, 1, 12)
 	defer p.Close()
 	waitForBuffer(t, p, 1)
-	tuples := p.TakeTuples()
-	if tuples == nil {
-		t.Fatal("TakeTuples returned nil on a non-empty pool")
+	set := p.TakeSlabs()
+	if set == nil {
+		t.Fatal("TakeSlabs returned nil on a non-empty pool")
 	}
-	if len(tuples) != 3 {
-		t.Fatalf("tuple set for %d parties, want 3", len(tuples))
+	if len(set) != 3 {
+		t.Fatalf("slab set for %d parties, want 3", len(set))
 	}
-	var r uint64
-	for _, tp := range tuples {
-		r += tp.RShare
-	}
-	for i := 0; i < K; i++ {
-		var bit Bit
-		for _, tp := range tuples {
-			bit ^= tp.RBits[i]
-		}
-		if bit != Bit(r>>uint(i))&1 {
-			t.Fatalf("R bit %d inconsistent with additive sharing", i)
-		}
-	}
-	for idx := 0; idx < TriplesPerCompare; idx++ {
-		var a, b, c Bit
-		for _, tp := range tuples {
-			a ^= tp.Triples[idx].A
-			b ^= tp.Triples[idx].B
-			c ^= tp.Triples[idx].C
-		}
-		if c != a&b {
-			t.Fatalf("triple %d violated: a=%d b=%d c=%d", idx, a, b, c)
-		}
-	}
+	checkSlabSet(t, set)
 }
 
 func TestPoolHitsAndMisses(t *testing.T) {
@@ -75,17 +59,17 @@ func TestPoolHitsAndMisses(t *testing.T) {
 	defer p.Close()
 	waitForBuffer(t, p, 2)
 
-	if tuples := p.TakeTuples(); tuples == nil {
+	if set := p.TakeSlabs(); set == nil {
 		t.Fatal("expected a pool hit")
 	}
-	if st := p.Stats(); st.Hits != 1 {
-		t.Fatalf("hits %d, want 1", st.Hits)
+	if st := p.Stats(); st.Hits != SlabLanes {
+		t.Fatalf("hits %d, want %d (one slab set)", st.Hits, SlabLanes)
 	}
 
 	// Drain faster than one worker can refill: eventually a miss.
 	sawMiss := false
 	for i := 0; i < 10000 && !sawMiss; i++ {
-		sawMiss = p.TakeTuples() == nil
+		sawMiss = p.TakeSlabs() == nil
 	}
 	if !sawMiss {
 		t.Fatal("pool never reported a miss under a hard drain")
@@ -99,9 +83,9 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	p := NewPool(3, 4, 2, 14)
 	p.Close()
 	p.Close() // must not panic or deadlock
-	// Buffered tuples stay takeable after Close.
-	if p.Stats().Buffered > 0 && p.TakeTuples() == nil {
-		t.Fatal("buffered tuples lost on Close")
+	// Buffered slab sets stay takeable after Close.
+	if p.Stats().Buffered > 0 && p.TakeSlabs() == nil {
+		t.Fatal("buffered slab sets lost on Close")
 	}
 }
 
@@ -114,8 +98,8 @@ func TestPoolConcurrentTake(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if tuples := p.TakeTuples(); tuples != nil && len(tuples) != 3 {
-					t.Errorf("tuple set of size %d", len(tuples))
+				if set := p.TakeSlabs(); set != nil && len(set) != 3 {
+					t.Errorf("slab set of size %d", len(set))
 					return
 				}
 			}
@@ -123,8 +107,8 @@ func TestPoolConcurrentTake(t *testing.T) {
 	}
 	wg.Wait()
 	st := p.Stats()
-	if st.Hits+st.Misses != 8*200 {
-		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*200)
+	if st.Hits+st.Misses != 8*200*SlabLanes {
+		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*200*SlabLanes)
 	}
 }
 
@@ -268,37 +252,114 @@ func TestRealDelaySlowsProtocol(t *testing.T) {
 }
 
 func TestPoolCloseSemantics(t *testing.T) {
+	// A capacity of 8 comparisons rounds up to one whole slab set.
 	p := NewPool(3, 8, 2, 16)
-	waitForBuffer(t, p, 8)
+	waitForBuffer(t, p, SlabLanes)
 	p.Close()
 	p.Close() // double close must not panic or deadlock
 
-	// Every tuple set buffered before Close stays takeable after it.
+	// Every slab set buffered before Close stays takeable after it.
 	buffered := p.Stats().Buffered
-	if buffered != 8 {
-		t.Fatalf("buffered after close = %d, want 8", buffered)
+	if buffered != SlabLanes {
+		t.Fatalf("buffered after close = %d, want %d", buffered, SlabLanes)
 	}
-	for i := 0; i < buffered; i++ {
-		if tuples := p.TakeTuples(); len(tuples) != 3 {
-			t.Fatalf("take %d after close: tuple set of size %d", i, len(tuples))
+	for i := 0; i < buffered/SlabLanes; i++ {
+		if set := p.TakeSlabs(); len(set) != 3 {
+			t.Fatalf("take %d after close: slab set of size %d", i, len(set))
 		}
 	}
 
-	// Once dry, TakeTuples reports a miss immediately — it must never block,
+	// Once dry, TakeSlabs reports a miss immediately — it must never block,
 	// even with the replenishers gone.
-	done := make(chan []CmpTuple, 1)
-	go func() { done <- p.TakeTuples() }()
+	done := make(chan []Slab, 1)
+	go func() { done <- p.TakeSlabs() }()
 	select {
-	case tuples := <-done:
-		if tuples != nil {
-			t.Fatalf("dry closed pool returned tuples: %v", tuples)
+	case set := <-done:
+		if set != nil {
+			t.Fatalf("dry closed pool returned a slab set of size %d", len(set))
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("TakeTuples blocked on a dry closed pool")
+		t.Fatal("TakeSlabs blocked on a dry closed pool")
 	}
 	st := p.Stats()
-	if st.Hits != int64(buffered) || st.Misses != 1 {
-		t.Fatalf("stats after drain = %+v, want %d hits / 1 miss", st, buffered)
+	if st.Hits != int64(buffered) || st.Misses != SlabLanes {
+		t.Fatalf("stats after drain = %+v, want %d hits / %d misses", st, buffered, SlabLanes)
 	}
 	p.Close() // close after drain is still safe
+}
+
+// TestPoolEnginesNeverShareSlabs: two engines drawing from one pool at the
+// same time never spend the same lane. Party 1 inputs 0 everywhere, so each
+// round-1 opening is its bare mask share: a repeated word would mean a slab
+// reached both engines (or one engine twice).
+func TestPoolEnginesNeverShareSlabs(t *testing.T) {
+	pool := NewPool(3, 4*SlabLanes, 1, 71)
+	defer pool.Close()
+	waitForBuffer(t, pool, 4*SlabLanes)
+	var mu sync.Mutex
+	var recs []*recordingConn
+	wrap := func(p int, c transport.Conn) transport.Conn {
+		if p != 1 {
+			return c
+		}
+		r := &recordingConn{Conn: c}
+		mu.Lock()
+		recs = append(recs, r)
+		mu.Unlock()
+		return r
+	}
+	root, err := NewEngine(Params{Parties: 3, Mode: ModeProtocol, Seed: 72, Wrap: wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := root.AttachPool(pool); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([][]int64, SlabLanes)
+	for i := range batch {
+		batch[i] = []int64{int64(i) - 32, 0, 0}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		e := root.Fork()
+		defer e.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				if _, err := e.CompareBatch(batch); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 40; i++ {
+					if _, err := e.Compare([]int64{int64(i) - 20, 0, 0}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if pool.Stats().Hits == 0 {
+		t.Fatal("engines never drew from the shared pool")
+	}
+	seen := make(map[uint64]bool)
+	for _, r := range recs {
+		// Every run sends n−1 = 2 frames per round; the first of each run's
+		// pair of round-1 frames carries its masked openings.
+		for f := 0; f < len(r.sent); f += 2 * RoundsPerCompare {
+			open := r.sent[f]
+			for i := 0; i+8 <= len(open); i += 8 {
+				m := getU64(open[i:])
+				if seen[m] {
+					t.Fatal("a mask share was spent twice across engines sharing one pool")
+				}
+				seen[m] = true
+			}
+		}
+	}
+	if want := 2 * 3 * (SlabLanes + 40); len(seen) != want {
+		t.Fatalf("checked %d openings, want %d", len(seen), want)
+	}
 }

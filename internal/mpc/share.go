@@ -74,27 +74,6 @@ func ReconstructAdditive(shares []uint64) uint64 {
 	return sum
 }
 
-// ShareBit splits a secret bit into n XOR shares.
-func ShareBit(rng *rand.Rand, secret Bit, n int) []Bit {
-	shares := make([]Bit, n)
-	var acc Bit
-	for i := 1; i < n; i++ {
-		shares[i] = Bit(rng.Uint64() & 1)
-		acc ^= shares[i]
-	}
-	shares[0] = (secret & 1) ^ acc
-	return shares
-}
-
-// ReconstructBit recombines XOR shares of a bit.
-func ReconstructBit(shares []Bit) Bit {
-	var acc Bit
-	for _, s := range shares {
-		acc ^= s
-	}
-	return acc & 1
-}
-
 // packBits stores bits (low bit of each byte) into dst, little-endian within
 // bytes. dst must have length ≥ ceil(len(bits)/8).
 func packBits(dst []byte, bits []Bit) {
