@@ -2,6 +2,7 @@ package fedroad
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -150,5 +151,105 @@ func TestChaosRetryAbsorbsTransientFault(t *testing.T) {
 	}
 	if sess.Poisoned() {
 		t.Fatal("session poisoned by a recovered fault")
+	}
+}
+
+// breakOnSend counts party 0's sends across every engine of a federation
+// and, once armed, breaks the 0–1 mesh link just before the send that
+// reaches the trigger count.
+type breakOnSend struct {
+	transport.Conn
+	armed   *atomic.Bool
+	sends   *atomic.Int64
+	trigger int64
+	brk     func()
+}
+
+func (c breakOnSend) Send(to int, data []byte) error {
+	if c.armed.Load() && c.sends.Add(1) == c.trigger {
+		c.brk()
+	}
+	return c.Conn.Send(to, data)
+}
+
+func TestChaosBuildLinkBreakMidStep(t *testing.T) {
+	// A witness build keeps 8 contractions in flight, their Fed-SACs
+	// coalesced into one CompareBatch per step over the mux mesh. Breaking a
+	// mesh link in the middle of a step must wake every parked proposal: the
+	// build returns the poisoned error promptly, leaks no goroutine, and the
+	// previous index keeps serving once the mesh has redialed.
+	g, w0 := GenerateGridNetwork(8, 8, 91)
+	silos := SimulateCongestion(w0, 3, Moderate, 92)
+	armed := new(atomic.Bool)
+	sends := new(atomic.Int64)
+	var f *Federation
+	cfg := Config{Mode: ModeProtocol, Seed: 93, MeshTCP: true, RoundTimeout: 500 * time.Millisecond}
+	cfg.TransportWrap = func(p int, c transport.Conn) transport.Conn {
+		if p != 0 {
+			return c
+		}
+		// Early in the first contraction round, which holds far more than 8
+		// mutually non-adjacent vertices, so every step carries 8 proposals.
+		return breakOnSend{Conn: c, armed: armed, sends: sends, trigger: 150, brk: func() { f.BreakMeshLink(0, 1) }}
+	}
+	f, err := New(g, w0, silos, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	if err := f.BuildIndexWith(IndexParams{Workers: 8}); err != nil {
+		t.Fatal(err)
+	}
+	before := f.IndexStats()
+	src, dst := Vertex(0), Vertex(g.NumVertices()-1)
+	want := jointDijkstra(g, silos, src, dst)
+	if route, _, err := f.ShortestPath(src, dst); err != nil || JointCost(route) != want {
+		t.Fatalf("query before chaos: cost %d, err %v; want cost %d", JointCost(route), err, want)
+	}
+	baseline := runtime.NumGoroutine()
+
+	armed.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- f.BuildIndexWith(IndexParams{Workers: 8}) }()
+	select {
+	case err = <-done:
+	case <-time.After(15 * time.Second):
+		t.Fatal("build across a broken link still running after 15s — a proposal in flight never woke")
+	}
+	armed.Store(false)
+	if sends.Load() < 150 {
+		t.Fatalf("the build made only %d sends; the link break never fired", sends.Load())
+	}
+	if !errors.Is(err, ErrSessionPoisoned) {
+		t.Fatalf("build across a broken link returned %v, want the poisoned error", err)
+	}
+
+	// The previous index is still installed and answers correctly once the
+	// mesh has redialed the broken link.
+	if got := f.IndexStats(); got.Shortcuts != before.Shortcuts || got.SAC != before.SAC {
+		t.Fatalf("failed build disturbed the serving index: %+v, was %+v", got, before)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		route, _, err := f.ShortestPath(src, dst)
+		if err == nil {
+			if JointCost(route) != want {
+				t.Fatalf("query after failed build: cost %d, want %d", JointCost(route), want)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no query succeeded after the failed build: %v", err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+
+	// No proposal goroutine of the failed build is left behind.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed build, %d before it", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -17,6 +17,11 @@
 //     more MPC rounds than the unbatched row of the same dataset — the
 //     "batching can never regress" invariant, checked against the same run
 //     rather than the baseline.
+//   - within the current report, the customize row must spend under 25% of
+//     the sequential batched build's MPC rounds. Next to it, report only, the
+//     customize row is set against the default-width build (workers =
+//     ch.DefaultBuildWidth) in rounds, Fed-SACs and sim_net_ms: the build a
+//     deployment actually runs.
 //
 // The comparison table is printed to stdout and, when the
 // GITHUB_STEP_SUMMARY environment variable is set, appended there as
@@ -37,6 +42,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/ch"
 	"repro/internal/expr"
 )
 
@@ -175,6 +181,12 @@ func main() {
 		}
 		failures = append(failures, custFailures...)
 	}
+	b.WriteString("\n### customize vs default-width build (current run, report only)\n\n")
+	if lines := customizeVsDefaultBuild(cur, curOrder); len(lines) > 0 {
+		b.WriteString(strings.Join(lines, "\n") + "\n")
+	} else {
+		b.WriteString("- report lacks a customize row or a default-width build row\n")
+	}
 
 	if len(failures) == 0 {
 		b.WriteString("\n**PASS** — no regressions.\n")
@@ -236,6 +248,29 @@ func customizeGate(cur map[rowKey]expr.BuildBenchRow, order []rowKey) (lines, fa
 		return nil, nil, errSkip{"index-build without customize rows"}
 	}
 	return lines, failures, nil
+}
+
+// customizeVsDefaultBuild sets every customize row against its dataset's
+// batched build at the default width, the build a deployment runs. Report
+// only: once the contractions in flight share their Fed-SAC batches, that
+// build can cost fewer rounds than a customize pass, and the gate above
+// keeps comparing against the sequential build.
+func customizeVsDefaultBuild(cur map[rowKey]expr.BuildBenchRow, order []rowKey) []string {
+	var lines []string
+	for _, k := range order {
+		if !k.customize {
+			continue
+		}
+		build, ok := cur[rowKey{dataset: k.dataset, workers: ch.DefaultBuildWidth, batched: true}]
+		if !ok {
+			continue
+		}
+		cust := cur[k]
+		lines = append(lines, fmt.Sprintf("- %s: customize %d rounds / %d Fed-SACs / %.1f ms sim_net vs workers=%d build %d rounds / %d Fed-SACs / %.1f ms sim_net — customize is %.1f%% of the build's rounds",
+			k.dataset, cust.MPCRounds, cust.Compares, cust.SimNetMs, ch.DefaultBuildWidth,
+			build.MPCRounds, build.Compares, build.SimNetMs, safeRatio(float64(cust.MPCRounds), float64(build.MPCRounds))*100))
+	}
+	return lines
 }
 
 // exitLoad terminates on a load failure: an errSkip (a report from another

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/expr"
 )
 
 func writeTemp(t *testing.T, name, content string) string {
@@ -162,3 +165,27 @@ func TestCustomizeGateFailsWithoutBuildRow(t *testing.T) {
 }
 
 func itoa(v int) string { return fmt.Sprintf("%d", v) }
+
+// customizeVsDefaultBuild reports the customize row against the default-width
+// build row of the same dataset, and nothing when either row is missing.
+func TestCustomizeVsDefaultBuildReportOnly(t *testing.T) {
+	rows := map[rowKey]expr.BuildBenchRow{
+		{dataset: "CAL-S", workers: 1, batched: true}:                  {MPCRounds: 38848},
+		{dataset: "CAL-S", workers: 8, batched: true}:                  {MPCRounds: 5568, Compares: 96026, SimNetMs: 1121},
+		{dataset: "CAL-S", workers: 8, batched: true, customize: true}: {MPCRounds: 2048, Compares: 1054, SimNetMs: 409.8},
+		{dataset: "BJ-S", workers: 8, batched: true, customize: true}:  {MPCRounds: 9},
+	}
+	order := []rowKey{
+		{dataset: "CAL-S", workers: 8, batched: true, customize: true},
+		{dataset: "BJ-S", workers: 8, batched: true, customize: true},
+	}
+	lines := customizeVsDefaultBuild(rows, order)
+	if len(lines) != 1 {
+		t.Fatalf("got %d lines, want 1 (BJ-S has no build row): %q", len(lines), lines)
+	}
+	for _, want := range []string{"customize 2048 rounds", "5568 rounds", "36.8%"} {
+		if !strings.Contains(lines[0], want) {
+			t.Fatalf("line %q lacks %q", lines[0], want)
+		}
+	}
+}

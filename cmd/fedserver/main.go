@@ -85,7 +85,7 @@ func main() {
 		silos    = flag.Int("silos", 3, "number of data silos")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		noIndex  = flag.Bool("no-index", false, "skip building the shortcut index")
-		idxWkrs  = flag.Int("index-workers", 0, "contraction workers for the parallel index build (0 = GOMAXPROCS)")
+		idxWkrs  = flag.Int("index-workers", 0, "index build: contractions in flight sharing each Fed-SAC batch (0 = 8); customization: forked engines (0 = GOMAXPROCS)")
 		custIdx  = flag.Bool("customize", false, "derive the shortcut index by weight customization over a topology-only skeleton (contract once per graph, customize per traffic version) instead of a full federated contraction")
 		reindex  = flag.Duration("reindex-interval", 0, "periodically re-derive the index off-lock from live weights when traffic has moved — a customization sweep when a skeleton exists, a full rebuild otherwise (0 = disabled)")
 		protocol = flag.Bool("protocol", false, "run the full MPC protocol per comparison (default: ideal mode with analytic cost accounting)")
@@ -192,8 +192,8 @@ func main() {
 			log.Printf("index: %d shortcuts customized in %v (%d workers, %d levels, %d MPC rounds)",
 				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Workers, st.Levels, st.SAC.Rounds)
 		} else {
-			log.Printf("index: %d shortcuts in %v (%d workers, %d contraction rounds)",
-				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Workers, st.Rounds)
+			log.Printf("index: %d shortcuts in %v (%d contractions in flight, %d contraction rounds, %d Fed-SACs, %d MPC rounds)",
+				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Workers, st.Rounds, st.SAC.Compares, st.SAC.Rounds)
 		}
 	} else if fed.HasIndex() {
 		log.Printf("index: restored from snapshot (%d shortcuts, customized: %v), MPC rebuild skipped",

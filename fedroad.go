@@ -603,12 +603,14 @@ func (f *Federation) TrafficVersion() uint64 {
 func (f *Federation) Silos() int { return f.inner.P() }
 
 // IndexParams tunes federated index construction: the public ordering
-// heuristic (OrderEdgeDiff or OrderDegree), the witness-search cap, the
-// contraction worker pool (Workers; 0 = GOMAXPROCS — the built index is
-// identical for every worker count), batching of Fed-SAC decisions (NoBatch
-// disables it, for diagnostics) and the off-lock conflict policy
-// (RebuildOnConflict retries a build whose weight snapshot a concurrent
-// traffic update invalidated). The zero value gives the paper's setup.
+// heuristic (OrderEdgeDiff or OrderDegree), the witness-search cap, Workers
+// (for a build, the contractions in flight whose Fed-SACs share one
+// CompareBatch per step, 0 = 8; for customization, the forked engines, 0 =
+// GOMAXPROCS — the built index is identical for every value), batching of
+// Fed-SAC decisions (NoBatch disables it, for diagnostics) and the off-lock
+// conflict policy (RebuildOnConflict retries a build whose weight snapshot a
+// concurrent traffic update invalidated). The zero value gives the paper's
+// setup.
 type IndexParams = ch.Params
 
 // Ordering heuristics for IndexParams.

@@ -2,7 +2,7 @@ package ch
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,9 +38,15 @@ type hierarchyState struct {
 // per contraction.
 const DefaultWitnessHops = 8
 
+// DefaultBuildWidth is the number of contractions a witness build keeps in
+// flight when Params.Workers is 0. Their Fed-SACs share one CompareBatch per
+// step, so MPC rounds fall as the width grows while the build's peak memory
+// rises with it (DESIGN.md, "Parallel, non-blocking index construction").
+const DefaultBuildWidth = 8
+
 // Params tunes index construction. The zero value gives the paper's setup:
-// edge-difference ordering, the default witness-search cap, one contraction
-// worker per CPU and batched Fed-SAC decisions.
+// edge-difference ordering, the default witness-search cap,
+// DefaultBuildWidth contractions in flight and batched Fed-SAC decisions.
 type Params struct {
 	// Ordering selects the public importance heuristic (default
 	// OrderEdgeDiff).
@@ -52,14 +58,18 @@ type Params struct {
 	// WitnessHops bounds the arc count of witness paths (default
 	// DefaultWitnessHops).
 	WitnessHops int
-	// Workers sets the contraction worker pool for the independent-set
-	// rounds (0 = GOMAXPROCS, 1 = sequential). The built index is
-	// byte-identical for every worker count; Workers trades wall time only.
+	// Workers is, for a witness build, the number of contractions in flight
+	// within an independent-set round (0 = DefaultBuildWidth, 1 =
+	// sequential); their Fed-SACs share one CompareBatch per step. For
+	// customization it is the number of forked engines (0 = GOMAXPROCS).
+	// The built index is byte-identical for every value; Workers trades MPC
+	// rounds and wall time against memory only.
 	Workers int
 	// NoBatch resolves every witness decision and min-arc match with an
-	// individual Fed-SAC comparison instead of per-contraction CompareBatch
-	// instances. Diagnostics only: it isolates the MPC-round saving of
-	// batching (BuildStats.RoundsSaved) without changing the result.
+	// individual Fed-SAC comparison, one contraction at a time, instead of
+	// coalesced CompareBatch instances. Diagnostics only: it isolates the
+	// MPC-round saving of batching (BuildStats.RoundsSaved) without changing
+	// the result.
 	NoBatch bool
 	// RebuildOnConflict is consumed by the fedroad layer's non-blocking
 	// BuildIndexWith: when a concurrent traffic update invalidates the
@@ -101,19 +111,19 @@ func BuildWith(f *fed.Federation, prm Params) (*Index, error) {
 // a read lock, Run with no lock held, swap the finished index in under a
 // brief write lock.
 type Builder struct {
-	f       *fed.Federation
-	prm     Params
-	x       *Index
-	workers []*fed.Federation // one forked engine per contraction worker
-	sacs    []*fed.SAC
-	ran     bool
+	f   *fed.Federation
+	prm Params
+	x   *Index
+	wf  *fed.Federation // the build's forked engine
+	sac *fed.SAC
+	ran bool
 }
 
 // NewBuilder validates the parameters and snapshots the federation: base
-// overlay arcs, per-silo partial weights and one forked MPC engine per
-// contraction worker. The root engine is never used by the build, so the
-// caller may keep using it (e.g. for dynamic updates of a previous index)
-// while Run executes.
+// overlay arcs, per-silo partial weights and one forked MPC engine that every
+// contraction in flight shares. The root engine is never used by the build,
+// so the caller may keep using it (e.g. for dynamic updates of a previous
+// index) while Run executes.
 func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 	switch prm.Ordering {
 	case "":
@@ -132,7 +142,10 @@ func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 	n := g.NumVertices()
 	p := f.P()
 	if prm.Workers <= 0 {
-		prm.Workers = runtime.GOMAXPROCS(0)
+		prm.Workers = DefaultBuildWidth
+	}
+	if prm.NoBatch {
+		prm.Workers = 1
 	}
 	if n > 0 && prm.Workers > n {
 		prm.Workers = n
@@ -174,13 +187,8 @@ func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 		x.hs.inAll[w] = append(x.hs.inAll[w], int32(a))
 	}
 
-	b := &Builder{f: f, prm: prm, x: x}
-	for i := 0; i < prm.Workers; i++ {
-		wf := f.Fork()
-		b.workers = append(b.workers, wf)
-		b.sacs = append(b.sacs, wf.NewSAC())
-	}
-	return b, nil
+	wf := f.Fork()
+	return &Builder{f: f, prm: prm, x: x, wf: wf, sac: wf.NewSAC()}, nil
 }
 
 // Run executes the ordering and contraction phases against the snapshot taken
@@ -192,11 +200,7 @@ func (b *Builder) Run() (*Index, error) {
 		return nil, fmt.Errorf("ch: Builder.Run called twice")
 	}
 	b.ran = true
-	defer func() {
-		for _, wf := range b.workers {
-			wf.Engine().Close()
-		}
-	}()
+	defer b.wf.Engine().Close()
 
 	start := time.Now()
 	x := b.x
@@ -216,10 +220,13 @@ func (b *Builder) Run() (*Index, error) {
 	// the contraction order, a maximal set of vertices pairwise non-adjacent
 	// in the current overlay; their contractions read disjoint arc
 	// neighborhoods and are proposed concurrently against the round-start
-	// snapshot, then merged (and ranked) in order — so the result is
+	// snapshot — up to Workers at a time, their Fed-SACs coalesced by one
+	// stepCombiner — then merged (and ranked) in order, so the result is
 	// byte-identical to the Workers=1 run. See DESIGN.md, "Parallel index
 	// construction" for the soundness argument.
 	el := buildEligibility(x)
+	direct := x.lessVia(b.sac)
+	comb := &stepCombiner{sac: b.sac}
 	inSet := make([]bool, n)
 	pos, rounds, maxWidth := 0, 0, 0
 	for pos < n {
@@ -232,36 +239,15 @@ func (b *Builder) Run() (*Index, error) {
 			set = append(set, v)
 		}
 		props := make([]*proposal, len(set))
-		if len(b.workers) == 1 || len(set) == 1 {
+		if b.prm.Workers == 1 || len(set) == 1 {
 			for i, v := range set {
-				props[i] = x.propose(b.sacs[0], v, el)
+				props[i] = x.propose(direct, v, el)
 			}
 		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			nw := len(b.workers)
-			if nw > len(set) {
-				nw = len(set)
-			}
-			for wi := 0; wi < nw; wi++ {
-				wg.Add(1)
-				go func(sac *fed.SAC) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(set) {
-							return
-						}
-						props[i] = x.propose(sac, set[i], el)
-					}
-				}(b.sacs[wi])
-			}
-			wg.Wait()
+			comb.proposeAll(x, set, props, min(b.prm.Workers, len(set)), el)
 		}
-		for _, sac := range b.sacs {
-			if err := sac.Err(); err != nil {
-				return nil, err
-			}
+		if err := b.sac.Err(); err != nil {
+			return nil, err
 		}
 		for i, v := range set {
 			x.apply(props[i])
@@ -282,10 +268,7 @@ func (b *Builder) Run() (*Index, error) {
 		x.addArcToQueryLists(a)
 	}
 
-	var sacStats mpc.Stats
-	for _, wf := range b.workers {
-		sacStats.Add(wf.Engine().Stats())
-	}
+	sacStats := b.wf.Engine().Stats()
 	avgWidth := 0.0
 	if rounds > 0 {
 		avgWidth = float64(n) / float64(rounds)
@@ -294,7 +277,7 @@ func (b *Builder) Run() (*Index, error) {
 		Shortcuts:       x.NumShortcuts(),
 		SAC:             sacStats,
 		WallTime:        time.Since(start),
-		Workers:         len(b.workers),
+		Workers:         b.prm.Workers,
 		Rounds:          rounds,
 		MaxRoundWidth:   maxWidth,
 		AvgRoundWidth:   avgWidth,
@@ -382,13 +365,13 @@ type refreshRec struct {
 // same-round contractions sound: with a tie-skip rule, two vertices
 // contracted from the same snapshot could each cite the other's equal-cost
 // path as witness and both drop it.
-func (x *Index) propose(sac *fed.SAC, v graph.Vertex, el eligibility) *proposal {
+func (x *Index) propose(less lessFunc, v graph.Vertex, el eligibility) *proposal {
 	p := x.f.P()
 	prop := &proposal{v: v}
 	groups := x.minArcGroups(x.hs.inAll[v], true, v, el)
 	nIn := len(groups)
 	groups = append(groups, x.minArcGroups(x.hs.outAll[v], false, v, el)...)
-	x.reduceMinArcs(sac, groups)
+	x.reduceMinArcs(less, groups)
 	minIn, minOut := groups[:nIn], groups[nIn:]
 	if len(minIn) == 0 || len(minOut) == 0 {
 		return prop
@@ -410,7 +393,7 @@ func (x *Index) propose(sac *fed.SAC, v graph.Vertex, el eligibility) *proposal 
 			}
 		}
 	}
-	wit := x.witnessSearchAll(sac, srcs, v, el)
+	wit := x.witnessSearchAll(less, srcs, v, el)
 
 	type candidate struct {
 		u, w         graph.Vertex
@@ -450,8 +433,8 @@ func (x *Index) propose(sac *fed.SAC, v graph.Vertex, el eligibility) *proposal 
 			refs = append(refs, i)
 		}
 	}
-	for j, less := range x.lessAll(sac, pairs) {
-		skip[refs[j]] = less
+	for j, lt := range less(pairs) {
+		skip[refs[j]] = lt
 	}
 
 	existing := make(map[[2]graph.Vertex]int32, len(x.hs.viaIndex[v]))
@@ -497,8 +480,8 @@ func (x *Index) apply(prop *proposal) []int32 {
 // contract runs the (re-)contraction of v synchronously — propose against
 // the current overlay, then apply. Used by the sequential paths (dynamic
 // update re-verification). Returns the IDs of newly added shortcut arcs.
-func (x *Index) contract(sac *fed.SAC, v graph.Vertex, el eligibility) []int32 {
-	return x.apply(x.propose(sac, v, el))
+func (x *Index) contract(less lessFunc, v graph.Vertex, el eligibility) []int32 {
+	return x.apply(x.propose(less, v, el))
 }
 
 // neighborGroup gathers the eligible parallel arcs between the contracted
@@ -539,19 +522,156 @@ func (x *Index) minArcGroups(arcs []int32, incoming bool, v graph.Vertex, el eli
 	return groups
 }
 
-// lessAll answers one round of independent strict-less questions: a single
-// CompareBatch-backed Fed-SAC instance when batching is on, or the same
-// comparisons one by one — in the same order — under noBatch. The two modes
-// make identical decisions, so builds stay byte-identical across them.
-func (x *Index) lessAll(sac *fed.SAC, pairs [][2]fed.Partial) []bool {
+// lessFunc answers one round of independent strict-less questions:
+// result[i] reports whether the joint cost of pairs[i][0] is strictly below
+// that of pairs[i][1]. Every Fed-SAC decision of contraction and
+// customization funnels through one.
+type lessFunc func(pairs [][2]fed.Partial) []bool
+
+// lessVia answers on sac alone: a single CompareBatch-backed Fed-SAC
+// instance per call when batching is on, or the same comparisons one by one
+// — in the same order — under noBatch. The two modes make identical
+// decisions, so builds stay byte-identical across them.
+func (x *Index) lessVia(sac *fed.SAC) lessFunc {
 	if !x.noBatch {
-		return sac.LessBatch(pairs)
+		return sac.LessBatch
 	}
-	res := make([]bool, len(pairs))
-	for i, pr := range pairs {
-		res[i] = sac.Less(pr[0], pr[1])
+	return func(pairs [][2]fed.Partial) []bool {
+		res := make([]bool, len(pairs))
+		for i, pr := range pairs {
+			res[i] = sac.Less(pr[0], pr[1])
+		}
+		return res
 	}
-	return res
+}
+
+// stepCombiner coalesces the Fed-SACs of every contraction in flight into
+// one CompareBatch per step. Each proposal goroutine calls less as its
+// lessFunc; a step flushes once every goroutine still running is parked in
+// less or has exited, on the goroutine that completed it. The flush answers
+// the concatenated pairs in one batch and hands every caller its slice.
+//
+// Comparisons are exact, so grouping never changes a decision. And the
+// proposals active at each step depend on the set order alone: each step
+// holds one call of every proposal in flight, and a goroutine whose proposal
+// ends takes the next vertex of the set and joins the same step, so which
+// goroutine runs which vertex never matters. SAC.Rounds is therefore
+// deterministic for a given width.
+type stepCombiner struct {
+	sac *fed.SAC
+
+	mu      sync.Mutex
+	running int         // proposal goroutines that have not exited
+	parked  []*stepCall // callers waiting for the current step
+	failed  bool        // the engine failed: later calls return at once
+
+	diffs [][]int64 // flush scratch, reused across steps
+	flat  []int64
+}
+
+// stepCall is one parked lessFunc call.
+type stepCall struct {
+	pairs [][2]fed.Partial
+	res   []bool
+	done  chan struct{}
+}
+
+// proposeAll proposes the contraction of every vertex of set into props,
+// with width goroutines sharing the combiner.
+func (c *stepCombiner) proposeAll(x *Index, set []graph.Vertex, props []*proposal, width int, el eligibility) {
+	c.running = width
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range width {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.exit()
+			for !c.hasFailed() {
+				i := int(next.Add(1)) - 1
+				if i >= len(set) {
+					return
+				}
+				props[i] = x.propose(c.less, set[i], el)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// less parks the caller until its step flushes. Calls with no pairs cost no
+// round and return at once, as on a lone SAC.
+func (c *stepCombiner) less(pairs [][2]fed.Partial) []bool {
+	if len(pairs) == 0 {
+		return nil
+	}
+	call := &stepCall{pairs: pairs, done: make(chan struct{})}
+	c.mu.Lock()
+	if c.failed {
+		c.mu.Unlock()
+		return make([]bool, len(pairs))
+	}
+	c.parked = append(c.parked, call)
+	step := c.takeStep()
+	c.mu.Unlock()
+	c.flush(step)
+	<-call.done
+	return call.res
+}
+
+// exit retires a proposal goroutine; its leaving may complete the step.
+func (c *stepCombiner) exit() {
+	c.mu.Lock()
+	c.running--
+	step := c.takeStep()
+	c.mu.Unlock()
+	c.flush(step)
+}
+
+func (c *stepCombiner) hasFailed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failed
+}
+
+// takeStep returns the parked calls once every running goroutine is among
+// them, emptying the step; nil while some goroutine is still working. The
+// caller holds mu.
+func (c *stepCombiner) takeStep() []*stepCall {
+	if len(c.parked) == 0 || len(c.parked) < c.running {
+		return nil
+	}
+	step := c.parked
+	c.parked = nil
+	return step
+}
+
+// flush answers one step in a single CompareBatch and wakes its callers.
+// Nothing else runs meanwhile: every other goroutine is parked in the step
+// or has exited, so the scratch buffers and the SAC need no lock.
+func (c *stepCombiner) flush(step []*stepCall) {
+	if step == nil {
+		return
+	}
+	total := 0
+	for _, call := range step {
+		total += len(call.pairs)
+	}
+	c.diffs = c.diffs[:0]
+	c.flat = slices.Grow(c.flat[:0], total*len(step[0].pairs[0][0]))
+	for _, call := range step {
+		c.diffs, c.flat = fed.AppendDiffs(c.diffs, c.flat, call.pairs)
+	}
+	res := c.sac.LessDiffs(c.diffs)
+	if c.sac.Err() != nil {
+		c.mu.Lock()
+		c.failed = true
+		c.mu.Unlock()
+	}
+	for _, call := range step {
+		call.res, res = res[:len(call.pairs):len(call.pairs)], res[len(call.pairs):]
+		close(call.done)
+	}
 }
 
 // earliestMinGroups reduces every slate of joint values to the index of its
@@ -561,7 +681,7 @@ func (x *Index) lessAll(sac *fed.SAC, pairs [][2]fed.Partial) []bool {
 // the bracket winner equals the left-to-right fold minimum regardless of
 // bracket shape — the identity both the min-arc reduction and the
 // lane-synchronous witness search rely on for build determinism.
-func (x *Index) earliestMinGroups(sac *fed.SAC, slates [][]fed.Partial) []int {
+func (x *Index) earliestMinGroups(less lessFunc, slates [][]fed.Partial) []int {
 	idx := make([][]int, len(slates))
 	for si, slate := range slates {
 		idx[si] = make([]int, len(slate))
@@ -582,7 +702,7 @@ func (x *Index) earliestMinGroups(sac *fed.SAC, slates [][]fed.Partial) []int {
 		if len(pairs) == 0 {
 			break
 		}
-		res := x.lessAll(sac, pairs)
+		res := less(pairs)
 		next := make([][]int, len(idx))
 		for si := range idx {
 			if len(idx[si]) > 1 {
@@ -618,7 +738,7 @@ func (x *Index) earliestMinGroups(sac *fed.SAC, slates [][]fed.Partial) []int {
 // reduceMinArcs reduces every group to its joint-minimum arc (swapped into
 // arcs[0]) via earliestMinGroups — the per-level matches of all groups run
 // in one batched Fed-SAC instance per level.
-func (x *Index) reduceMinArcs(sac *fed.SAC, groups []neighborGroup) {
+func (x *Index) reduceMinArcs(less lessFunc, groups []neighborGroup) {
 	slates := make([][]fed.Partial, len(groups))
 	for gi, g := range groups {
 		slate := make([]fed.Partial, len(g.arcs))
@@ -627,7 +747,7 @@ func (x *Index) reduceMinArcs(sac *fed.SAC, groups []neighborGroup) {
 		}
 		slates[gi] = slate
 	}
-	for gi, win := range x.earliestMinGroups(sac, slates) {
+	for gi, win := range x.earliestMinGroups(less, slates) {
 		groups[gi].arcs[0] = groups[gi].arcs[win]
 	}
 }
@@ -689,7 +809,7 @@ type witSearch struct {
 // worker counts, batching and wire layouts: candidate order is
 // deterministic and the earliest-min tournament is bracket-shape
 // independent.
-func (x *Index) witnessSearchAll(sac *fed.SAC, srcs []graph.Vertex, v graph.Vertex, el eligibility) []map[graph.Vertex]*witLabel {
+func (x *Index) witnessSearchAll(less lessFunc, srcs []graph.Vertex, v graph.Vertex, el eligibility) []map[graph.Vertex]*witLabel {
 	searches := make([]*witSearch, len(srcs))
 	for si, u := range srcs {
 		searches[si] = &witSearch{
@@ -758,7 +878,7 @@ func (x *Index) witnessSearchAll(sac *fed.SAC, srcs []graph.Vertex, v graph.Vert
 			}
 			slates[ki] = slate
 		}
-		winners := x.earliestMinGroups(sac, slates)
+		winners := x.earliestMinGroups(less, slates)
 		for ki, key := range keys {
 			s := searches[key.si]
 			win := winners[ki]

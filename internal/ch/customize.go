@@ -221,7 +221,7 @@ func (c *Customizer) tournaments(duel []int32, win []int32) error {
 				}
 				slates[i] = slate
 			}
-			for i, w := range x.earliestMinGroups(sac, slates) {
+			for i, w := range x.earliestMinGroups(x.lessVia(sac), slates) {
 				win[part[i]] = pl.groups[part[i]][w]
 			}
 		}(c.sacs[wi], duel[lo:hi])
@@ -327,7 +327,7 @@ func (x *Index) updateCustomized(changed []graph.Arc) (UpdateStats, error) {
 			}
 			slates[i] = slate
 		}
-		winners := x.earliestMinGroups(sac, slates)
+		winners := x.earliestMinGroups(x.lessVia(sac), slates)
 		if err := sac.Err(); err != nil {
 			return stats, err
 		}

@@ -76,7 +76,7 @@ type BuildStats struct {
 	WallTime  time.Duration
 
 	// Parallel-build pipeline statistics.
-	Workers       int     // contraction worker pool size
+	Workers       int     // build: contractions in flight; customization: forked engines
 	Rounds        int     // independent-set contraction rounds
 	MaxRoundWidth int     // largest set contracted in one round
 	AvgRoundWidth float64 // vertices contracted per round on average

@@ -43,9 +43,10 @@ func buildVariant(t *testing.T, g *graph.Graph, w0 graph.Weights, sets []graph.W
 }
 
 // TestParallelBuildEquivalence is the determinism contract of the parallel
-// builder: for any worker count, batched or not, the built index — ordering,
-// shortcut set, skip records, every silo's partial weights — is byte-for-byte
-// the sequential build's.
+// builder: for any number of contractions in flight, batched or not, the
+// built index — ordering, shortcut set, skip records, every silo's partial
+// weights — is byte-for-byte the sequential build's, and it spends exactly
+// as many Fed-SACs.
 func TestParallelBuildEquivalence(t *testing.T) {
 	type network struct {
 		name string
@@ -61,14 +62,19 @@ func TestParallelBuildEquivalence(t *testing.T) {
 				ref := buildVariant(t, net.g, net.w0, sets, seed, Params{Workers: 1})
 				refBytes := serializeAll(t, ref)
 				for _, prm := range []Params{
-					{Workers: 8},
 					{Workers: 3},
+					{Workers: 8},
+					{Workers: 64},
 					{Workers: 1, NoBatch: true},
 					{Workers: 8, NoBatch: true},
 				} {
 					x := buildVariant(t, net.g, net.w0, sets, seed, prm)
 					if got, want := x.NumShortcuts(), ref.NumShortcuts(); got != want {
 						t.Fatalf("seed %d workers=%d noBatch=%v: %d shortcuts, sequential build has %d",
+							seed, prm.Workers, prm.NoBatch, got, want)
+					}
+					if got, want := x.BuildStatistics().SAC.Compares, ref.BuildStatistics().SAC.Compares; got != want {
+						t.Fatalf("seed %d workers=%d noBatch=%v: %d Fed-SACs, sequential build spent %d",
 							seed, prm.Workers, prm.NoBatch, got, want)
 					}
 					for v := 0; v < net.g.NumVertices(); v++ {
@@ -104,6 +110,39 @@ func TestParallelBuildRepeatable(t *testing.T) {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Fatalf("part %d differs between two identical parallel builds", i)
 		}
+	}
+}
+
+// TestBuildCombinerRoundsDeterministic: the Fed-SACs of the contractions in
+// flight share one CompareBatch per step, and the proposals active at each
+// step depend on the set order alone. So two builds at one width spend
+// identical MPC rounds, and a wider build never spends more rounds than a
+// narrower one — while every width spends the same Fed-SACs.
+func TestBuildCombinerRoundsDeterministic(t *testing.T) {
+	g, w0 := graph.GenerateRoadLike(220, 23)
+	sets := traffic.SiloWeights(w0, 3, traffic.Moderate, 24)
+	var prevRounds, compares int64
+	for i, width := range []int{1, 2, 3, 8, 16, 64} {
+		a := buildVariant(t, g, w0, sets, 25, Params{Workers: width}).BuildStatistics()
+		b := buildVariant(t, g, w0, sets, 25, Params{Workers: width}).BuildStatistics()
+		if a.SAC.Rounds != b.SAC.Rounds {
+			t.Fatalf("width %d: two identical builds spent %d and %d MPC rounds", width, a.SAC.Rounds, b.SAC.Rounds)
+		}
+		if i == 0 {
+			compares = a.SAC.Compares
+		} else {
+			if a.SAC.Rounds > prevRounds {
+				t.Fatalf("width %d spent %d MPC rounds, more than the narrower build's %d", width, a.SAC.Rounds, prevRounds)
+			}
+			if a.SAC.Compares != compares {
+				t.Fatalf("width %d spent %d Fed-SACs, width 1 spent %d", width, a.SAC.Compares, compares)
+			}
+		}
+		prevRounds = a.SAC.Rounds
+	}
+	seq := buildVariant(t, g, w0, sets, 25, Params{Workers: 1}).BuildStatistics().SAC.Rounds
+	if prevRounds*2 > seq {
+		t.Fatalf("width 64 spent %d MPC rounds, not under half of the sequential build's %d", prevRounds, seq)
 	}
 }
 

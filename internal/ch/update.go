@@ -131,7 +131,7 @@ func (x *Index) Update(changed []graph.Arc) (UpdateStats, error) {
 			}
 			beforeW[a] = ws
 		}
-		added := x.contract(sac, v, updateEligibility(x, x.rank[v]))
+		added := x.contract(x.lessVia(sac), v, updateEligibility(x, x.rank[v]))
 		if err := sac.Err(); err != nil {
 			return stats, err
 		}

@@ -48,9 +48,8 @@ type BuildBenchRow struct {
 
 	// SpeedupVsSeq is this row's local wall-time speedup over the sequential
 	// batched build of the same dataset (1.0 for that reference row itself).
-	// Wall time, not TimeMs: SimNet sums every worker's network wait even
-	// though concurrent contractions overlap theirs, so end-to-end ratios
-	// would understate parallelism.
+	// The round saving of coalescing the contractions in flight into one
+	// batch per step shows in MPCRounds, SimNetMs and TimeMs instead.
 	SpeedupVsSeq float64 `json:"speedup_vs_seq"`
 }
 
@@ -83,8 +82,8 @@ func (r BuildBenchReport) WriteFile(path string) error {
 
 // RunIndexBuildBench benchmarks index construction across the configured
 // datasets under three regimes: sequential unbatched (the naive baseline),
-// sequential batched, and parallel batched at min(8, GOMAXPROCS overridable)
-// workers. Every variant rebuilds from an identical fresh federation; the
+// sequential batched, and batched with 8 contractions in flight sharing
+// each step's CompareBatch (the default width). Every variant rebuilds from an identical fresh federation; the
 // row set records wall time, phase split, and the Fed-SAC round economics.
 func (h *Harness) RunIndexBuildBench() (*BuildBenchReport, error) {
 	rep := &BuildBenchReport{Experiment: "index-build", Silos: h.cfg.Silos}

@@ -221,17 +221,20 @@ func (s *SAC) Less(a, b Partial) bool {
 // result[i] reports whether the joint cost of pairs[i][0] is strictly
 // smaller than the joint cost of pairs[i][1].
 func (s *SAC) LessBatch(pairs [][2]Partial) []bool {
-	out := make([]bool, len(pairs))
 	if s.err != nil || len(pairs) == 0 {
-		return out
+		return make([]bool, len(pairs))
 	}
-	diffs := make([][]int64, len(pairs))
-	for i, pr := range pairs {
-		d := make([]int64, len(pr[0]))
-		for p := range d {
-			d[p] = pr[0][p] - pr[1][p]
-		}
-		diffs[i] = d
+	diffs, _ := AppendDiffs(make([][]int64, 0, len(pairs)), make([]int64, 0, len(pairs)*len(pairs[0][0])), pairs)
+	return s.LessDiffs(diffs)
+}
+
+// LessDiffs is LessBatch over precomputed per-silo differences: result[i]
+// reports whether the joint sum of diffs[i] is negative. Callers that
+// coalesce several batches build the differences once with AppendDiffs.
+func (s *SAC) LessDiffs(diffs [][]int64) []bool {
+	out := make([]bool, len(diffs))
+	if s.err != nil || len(diffs) == 0 {
+		return out
 	}
 	res, err := s.eng.CompareBatch(diffs)
 	if err != nil {
@@ -239,6 +242,20 @@ func (s *SAC) LessBatch(pairs [][2]Partial) []bool {
 		return out
 	}
 	return res
+}
+
+// AppendDiffs appends the difference vector a−b of every pair to diffs,
+// carving the vectors out of flat's spare capacity. A caller that sizes flat
+// for the whole batch up front gets every vector in one backing array.
+func AppendDiffs(diffs [][]int64, flat []int64, pairs [][2]Partial) ([][]int64, []int64) {
+	for _, pr := range pairs {
+		off := len(flat)
+		for p := range pr[0] {
+			flat = append(flat, pr[0][p]-pr[1][p])
+		}
+		diffs = append(diffs, flat[off:len(flat):len(flat)])
+	}
+	return diffs, flat
 }
 
 // Err returns the first engine error encountered, if any.

@@ -127,7 +127,8 @@ type link struct {
 	conn net.Conn
 	rd   *bufio.Reader
 
-	wmu sync.Mutex
+	wmu  sync.Mutex
+	wbuf []byte // frame assembly buffer, reused under wmu
 
 	dead     chan struct{}
 	deadOnce sync.Once
@@ -143,6 +144,9 @@ type link struct {
 // allocation order, so a bounded FIFO keeps the common stale-frame window
 // covered without unbounded growth on long-lived links.
 const maxTombstones = 4096
+
+// maxRetainedFrame bounds the frame buffer a link keeps between writes.
+const maxRetainedFrame = 64 << 10
 
 // maxLanesPerLink bounds concurrently buffered lanes; beyond it the peer is
 // misbehaving (or leaking lanes) and the link is killed.
@@ -209,22 +213,31 @@ func (l *link) closeLane(lane uint32) {
 // mutex (the fair writer: goroutines queue on the mutex in roughly FIFO
 // order, and no lane can starve others beyond one frame). The write deadline
 // is the heartbeat budget: a peer that stops draining its socket turns into
-// a dead link, not a parked goroutine.
+// a dead link, not a parked goroutine. Frames are assembled in the link's
+// reused buffer; one larger than maxRetainedFrame gets a buffer of its own,
+// so a rare huge frame does not pin its size to the link.
 func (l *link) writeFrame(lane, seq uint32, payload []byte) error {
 	if len(payload) > muxMaxFrame {
 		return fmt.Errorf("transport: mux frame to party %d oversized: %d", l.peer, len(payload))
 	}
-	buf := make([]byte, muxHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], lane)
-	binary.LittleEndian.PutUint32(buf[4:], seq)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(payload)))
-	copy(buf[muxHeaderLen:], payload)
-
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	if l.isDead() {
 		return fmt.Errorf("transport: send to party %d: %w", l.peer, ErrPeerDown)
 	}
+	size := muxHeaderLen + len(payload)
+	buf := l.wbuf
+	if cap(buf) < size {
+		buf = make([]byte, size)
+		if size <= maxRetainedFrame {
+			l.wbuf = buf
+		}
+	}
+	buf = buf[:size]
+	binary.LittleEndian.PutUint32(buf[0:], lane)
+	binary.LittleEndian.PutUint32(buf[4:], seq)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(len(payload)))
+	copy(buf[muxHeaderLen:], payload)
 	if hb := l.m.heartbeatDeadline(); hb > 0 {
 		l.conn.SetWriteDeadline(time.Now().Add(hb))
 	}
